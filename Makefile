@@ -1,6 +1,6 @@
 # Convenience targets mirroring the CI jobs (.github/workflows/ci.yml).
 
-.PHONY: all build test race race-concurrency lint lint-audit ci profile bench bench-mapping bench-shards benchdiff check-paranoid check-replay smoke-rubixd
+.PHONY: all build test race race-concurrency lint lint-audit ci profile bench bench-mapping benchdiff check-paranoid check-replay smoke-rubixd
 
 all: build test
 
@@ -49,16 +49,6 @@ bench:
 bench-mapping:
 	go test -bench 'Map|Cipher|Encrypt|Decrypt' -benchmem -run '^$$' \
 		./internal/mapping ./internal/kcipher ./internal/core
-
-# Parallel-in-run scaling: the same 4-channel configuration at 1, 2, and 4
-# channel shards. Compare ns/op across the three — on an N-core host the
-# Shards4 run should approach the serial time divided by min(4, N). On a
-# single-core host the sharded runs are SLOWER than serial (they pay the
-# routing and rendezvous cost with no parallel payback); the mean_ipc
-# metric must be identical across all three regardless — that is the
-# determinism contract, visible even in the benchmark output.
-bench-shards:
-	go test -bench ShardScaling -benchmem -run '^$$' .
 
 # Regression gate against the committed baseline: generous ns/op tolerance
 # (wall time is machine-dependent), strict allocs/op (allocation counts are

@@ -107,20 +107,13 @@ func main() {
 		jsonPath = flag.String("json", "", "also write the experiment's structured rows as JSON to this file")
 		progress = flag.Bool("progress", false, "print per-run progress to stderr and a timing table at the end")
 		checks   = flag.String("check", "", "runtime checking: 'paranoid' runs every simulation with invariant checks attached")
-		shards   = flag.Int("shards", 0, "channel-sharded event loops per run: 0 = auto, 1 = serial, else a power of two")
 	)
 	flag.Parse()
-	// Validate the shard request here, not mid-sweep: a bad value must fail
-	// before hours of simulation start.
-	if *shards < 0 || *shards&(*shards-1) != 0 {
-		fmt.Fprintf(os.Stderr, "experiments: -shards %d: want 0 (auto) or a power of two\n", *shards)
-		os.Exit(2)
-	}
 
 	timer := &runTimer{progress: *progress}
 	// SeedSet: the -seed flag was resolved by flag.Parse, so even an explicit
 	// -seed 0 must be honored rather than remapped to the default.
-	opts := sim.Options{Scale: *scale, Seed: *seed, SeedSet: true, Shards: *shards,
+	opts := sim.Options{Scale: *scale, Seed: *seed, SeedSet: true,
 		OnRunDone: timer.done, OnRunErr: timer.fail}
 	switch *checks {
 	case "":

@@ -8,7 +8,7 @@
 // Examples:
 //
 //	rubixd -addr localhost:8080 -store /var/lib/rubixd
-//	rubixd -scale 0.1 -shards 1 -batch 16 -batch-wait 100ms
+//	rubixd -scale 0.1 -batch 16 -batch-wait 100ms
 //
 //	curl -d '{"Workload":"mcf","Mapping":"rubixs-gs4","Mitigation":"aqua","TRH":128}' localhost:8080/run
 //	curl -d '{"specs":[...]}' localhost:8080/batch
@@ -41,17 +41,12 @@ func main() {
 		scale     = flag.Float64("scale", 1.0, "fraction of the 250M-instruction budget per run")
 		cores     = flag.Int("cores", 4, "cores per simulation")
 		seed      = flag.Uint64("seed", 42, "random seed (part of the store key)")
-		shards    = flag.Int("shards", 0, "channel-sharded event loops per run: 0 = auto, 1 = serial")
 		parallel  = flag.Int("parallel", 0, "max concurrent simulations per batch (0 = NumCPU)")
 		batch     = flag.Int("batch", 8, "batch flush threshold")
 		batchWait = flag.Duration("batch-wait", 50*time.Millisecond, "max time a partial batch waits before flushing")
 		quiet     = flag.Bool("quiet", false, "suppress per-run log lines")
 	)
 	flag.Parse()
-	if *shards < 0 || *shards&(*shards-1) != 0 {
-		fmt.Fprintf(os.Stderr, "rubixd: -shards %d: want 0 (auto) or a power of two\n", *shards)
-		os.Exit(2)
-	}
 
 	cfg := server.Config{
 		Sim: sim.Options{
@@ -59,7 +54,6 @@ func main() {
 			Cores:   *cores,
 			Seed:    *seed,
 			SeedSet: true,
-			Shards:  *shards,
 		},
 		BatchSize:   *batch,
 		BatchWait:   *batchWait,

@@ -81,11 +81,11 @@ type bankClock struct {
 }
 
 // Checker collects sampled online assertions for one simulation run. Every
-// hook and reporting method is safe for concurrent use: the parallel
-// simulator calls the hooks from multiple shards, so all mutable state is
-// guarded by one mutex (the checker is off the hot path by contract — a nil
-// *Checker short-circuits before any locking, and the zero-cost contract
-// holds: every exported hook is safe, and free, on a nil receiver).
+// hook and reporting method is safe for concurrent use: all mutable state
+// is guarded by one mutex (the checker is off the hot path by contract —
+// a nil *Checker short-circuits before any locking, and the zero-cost
+// contract holds: every exported hook is safe, and free, on a nil
+// receiver).
 type Checker struct {
 	mu sync.Mutex
 
@@ -180,70 +180,6 @@ func (c *Checker) AttachFullMapper(g geom.Geometry, m mapping.FullMapper) {
 	c.inv = m
 	c.full = m
 	c.gt, _ = m.(GroupTranslator)
-}
-
-// Fork returns a child checker sharing this checker's configuration and
-// attached translation surfaces but with fresh counters, collision window,
-// and violation list. The sharded simulator gives each shard a fork — whose
-// conservation and census ledgers are then self-consistent for the subset
-// of traffic the shard carries — and folds them back with Absorb. Fork on a
-// nil checker returns nil, preserving the nil-receiver contract.
-//
-// cold: once per shard at run setup.
-func (c *Checker) Fork() *Checker {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := New(c.cfg)
-	n.geo = c.geo
-	n.mapper = c.mapper
-	n.inv = c.inv
-	n.full = c.full
-	n.gt = c.gt
-	return n
-}
-
-// Absorb folds a forked child's ledger into this checker in a deterministic
-// order: counters and check counts are summed, and the child's violations
-// are appended (respecting this checker's cap). Per-bank timing state and
-// the collision window are not merged — they are positional state the child
-// has already fully checked for its shard. Call once per child, in fixed
-// shard order, after the child saw its last event. Nil-safe on both sides.
-//
-// cold: once per shard at run teardown.
-func (c *Checker) Absorb(child *Checker) {
-	if c == nil || child == nil {
-		return
-	}
-	child.mu.Lock()
-	checks := child.checks
-	ctrlActs := child.ctrlActs
-	mitActs := child.mitActs
-	censusDemand := child.censusDemand
-	censusExtra := child.censusExtra
-	censusTable := child.censusTable
-	violations := append([]Violation(nil), child.violations...)
-	truncated := child.truncated
-	child.mu.Unlock()
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.checks += checks
-	c.ctrlActs += ctrlActs
-	c.mitActs += mitActs
-	c.censusDemand += censusDemand
-	c.censusExtra += censusExtra
-	c.censusTable += censusTable
-	for _, v := range violations {
-		if len(c.violations) >= c.cfg.MaxViolations {
-			c.truncated++
-			continue
-		}
-		c.violations = append(c.violations, v)
-	}
-	c.truncated += truncated
 }
 
 // --- mapping checks ----------------------------------------------------------

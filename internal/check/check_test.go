@@ -359,7 +359,7 @@ func (inertMit) ResetWindow()                       {}
 func (inertMit) Mitigations() uint64                { return 0 }
 
 // TestCheckerConcurrentHooks hammers every hook and reporting method from
-// many goroutines at once, the way the parallel simulator's shards do. Run
+// many goroutines at once, as callers sharing one Checker may. Run
 // under -race this fails on any unguarded Checker field; without -race it
 // still fails if lost counter updates break conservation at OnRunEnd.
 func TestCheckerConcurrentHooks(t *testing.T) {

@@ -43,11 +43,6 @@ type Core struct {
 	// dependent-chain workloads (low MLP) stall on every burst.
 	pending []float64 // completion times of in-flight bursts (ring)
 	pHead   int
-	// pendingC is the async twin of pending: StepBatchAsync parks a burst's
-	// Completion future here and Waits on it only when the ring slot is
-	// reused — the exact point finishBurst would consume the float. Lazily
-	// sized on first async use so the serial path pays nothing.
-	pendingC []Completion
 
 	lines    []uint64   // StepBatch burst scratch, capacity >= mlpCap
 	linesArr [16]uint64 // inline backing for lines at typical MLP (no heap alloc)
@@ -100,20 +95,6 @@ type AccessFunc func(line uint64, arrival float64) float64
 // same time — one core's MLP burst — and returns the latest completion
 // (at least arrival). The memory controller's AccessBatch provides it.
 type BatchAccessFunc func(lines []uint64, arrival float64) float64
-
-// Completion is a future for one burst's completion time. Wait blocks until
-// the burst has been simulated and returns the latest completion time
-// (at least the burst's arrival). The sharded simulator returns these from
-// its routing layer so cores can run ahead of the DRAM shards by up to one
-// pending-ring depth of bursts.
-type Completion interface {
-	Wait() float64
-}
-
-// AsyncBatchAccessFunc issues a batch of memory accesses, all arriving at
-// the same time, and returns a future for the latest completion instead of
-// blocking on it. The sharded router provides it.
-type AsyncBatchAccessFunc func(lines []uint64, arrival float64) Completion
 
 // Serial adapts a per-line AccessFunc to the batch shape by issuing the
 // batch one access at a time, in order, at the common arrival time. It is
@@ -187,77 +168,6 @@ func (c *Core) StepBatch(access BatchAccessFunc) {
 		c.Now += float64(g) * c.cfg.BaseCPI / c.cfg.FreqGHz
 	}
 	c.finishBurst(access(c.lines, issue))
-}
-
-// StepBatchAsync is StepBatch with the burst issued through an async
-// routing layer: the generator and gap-RNG draws, the issue time, and the
-// point at which a burst's completion is consumed (the pending-ring slot
-// reuse) are all identical to StepBatch, so StepBatch(f) and
-// StepBatchAsync(asyncOf(f)) retire byte-identical core clocks.
-//
-// hot: one call per simulated miss burst on the sharded path.
-func (c *Core) StepBatchAsync(access AsyncBatchAccessFunc) {
-	gap := c.rng.Geometric(c.meanGap)
-	c.Now += float64(gap) * c.cfg.BaseCPI / c.cfg.FreqGHz
-	c.Retired += uint64(gap)
-
-	issue := c.Now
-	c.lines = c.lines[:0]
-	for k := 0; ; k++ {
-		//lint:allow hotalloc append reuses the burst buffer truncated above; capacity growth stops at mlpCap after the first bursts
-		c.lines = append(c.lines, c.profile.Gen.Next())
-		if k+1 >= c.mlpCap || !c.profile.Gen.InBurst() {
-			break
-		}
-		// The compute between overlapped misses also overlaps with the
-		// outstanding memory time.
-		g := c.rng.Geometric(c.meanGap)
-		c.Retired += uint64(g)
-		c.Now += float64(g) * c.cfg.BaseCPI / c.cfg.FreqGHz
-	}
-	c.finishBurstAsync(access(c.lines, issue))
-}
-
-// finishBurstAsync is finishBurst over futures: the future entering the
-// ring is not awaited until its slot is reused, mirroring exactly when
-// finishBurst reads the evicted float — so the core clock advances through
-// the same comparisons in the same order.
-func (c *Core) finishBurstAsync(comp Completion) {
-	if len(c.pending) > 1 {
-		if c.pendingC == nil {
-			//lint:allow hotalloc one-time lazy ring allocation on the first async burst; nil thereafter
-			c.pendingC = make([]Completion, len(c.pending))
-		}
-		if old := c.pendingC[c.pHead]; old != nil {
-			if v := old.Wait(); v > c.Now {
-				c.Now = v
-			}
-		}
-		c.pendingC[c.pHead] = comp
-		c.pHead = (c.pHead + 1) % len(c.pending)
-		return
-	}
-	if v := comp.Wait(); v > c.Now {
-		c.Now = v
-	}
-}
-
-// DrainPending awaits every outstanding async burst in ring order and
-// retires their completion times into the core clock — the async
-// counterpart of the implicit drain a finished serial core performs (a
-// serial core's pending floats are already folded in as slots recycle; the
-// final ring contents never advance Now past the last consumed slot, and
-// the async path must consume the same set).
-//
-// cold: once per core at end of run.
-func (c *Core) DrainPending() {
-	for i := 0; i < len(c.pendingC); i++ {
-		idx := (c.pHead + i) % len(c.pendingC)
-		if f := c.pendingC[idx]; f != nil {
-			f.Wait()
-			c.pendingC[idx] = nil
-		}
-	}
 }
 
 // finishBurst retires one burst's completion time into the core clock: the

@@ -150,12 +150,13 @@ func (c *Controller) AccessBatch(lines []uint64, arrival float64) float64 {
 // mapping state; the translation itself is side-effect-free, so computing
 // it before the access counter and window bookkeeping is equivalent to the
 // historical in-line order.
+//
+// hot: one call per access.
 func (c *Controller) accessMapped(line, phys uint64, arrival float64) float64 {
 	// Deterministic write marking: every writeFrac-th access is a
-	// writeback. Computed up front (instead of between the release-time
-	// grant and the DRAM access, its historical slot) so the sharded
-	// producer can mark writes in global issue order; no float state is
-	// read between the two positions, so the move is unobservable.
+	// writeback. Marked first, in issue order; this pins the issue order
+	// the goldens hold. No float state is read between here and the DRAM
+	// access, so the position within the access is unobservable.
 	write := false
 	if c.writeFrac > 0 {
 		c.writeAccum += c.writeFrac
@@ -164,33 +165,7 @@ func (c *Controller) accessMapped(line, phys uint64, arrival float64) float64 {
 			write = true
 		}
 	}
-	r := c.AccessPretranslated(line, phys, arrival, write)
-	if r.Activated && c.dyn != nil {
-		if op, ok := c.dyn.NoteActivation(r.FinalPhys); ok {
-			c.chargeSwap(op, r.ActStart)
-		}
-	}
-	return r.Completion
-}
 
-// RoutedResult reports the outcome of one pre-translated access: what a
-// shard needs to hand back across the rendezvous so the producer can drive
-// the dynamic-remap engine and the core clock.
-type RoutedResult struct {
-	Completion float64
-	ActStart   float64
-	FinalPhys  uint64 // addr: phys — after any row-migration indirection
-	Activated  bool
-}
-
-// AccessPretranslated performs one access whose mapping translation (phys)
-// and write marking were already resolved by the caller — the shard-worker
-// entry point: translation, write marking, and Rubix-D remap reactions stay
-// on the single-threaded producer, while everything from mitigation grants
-// down to DRAM timing runs on the shard owning the line's channel.
-//
-// hot: one call per access on both the serial and the sharded path.
-func (c *Controller) AccessPretranslated(line, phys uint64, arrival float64, write bool) RoutedResult {
 	c.mAccesses.Inc()
 	for arrival >= c.nextReset {
 		c.Mit.ResetWindow()
@@ -223,13 +198,13 @@ func (c *Controller) AccessPretranslated(line, phys uint64, arrival float64, wri
 			c.chk.OnControllerACT()
 		}
 		c.Mit.OnACT(cur, res.ActStart)
+		if c.dyn != nil {
+			if op, ok := c.dyn.NoteActivation(phys); ok {
+				c.chargeSwap(op, res.ActStart)
+			}
+		}
 	}
-	return RoutedResult{
-		Completion: res.Completion,
-		ActStart:   res.ActStart,
-		FinalPhys:  phys,
-		Activated:  res.Activated,
-	}
+	return res.Completion
 }
 
 // chargeSwap accounts the DRAM cost of a Rubix-D gang swap: 3 activations
@@ -240,17 +215,16 @@ func (c *Controller) chargeSwap(op core.SwapOp, at float64) {
 	c.DRAM.ForceActivate(op.RowY, at)
 	c.DRAM.ForceActivate(op.RowX, at)
 	c.DRAM.AddExtraCAS(op.CAS)
-	c.DRAM.BlockChannel(op.RowX, at, SwapBlockNs(c.DRAM.Timing, op))
+	c.DRAM.BlockChannel(op.RowX, at, swapBlockNs(c.DRAM.Timing, op))
 	c.remapSwapCnt++
 	c.mRemapSwap.Inc()
 	c.rec.Event(metrics.EvRemapSwap, at, op.RowX)
 }
 
-// SwapBlockNs returns the channel-occupancy cost of one Rubix-D gang swap:
+// swapBlockNs returns the channel-occupancy cost of one Rubix-D gang swap:
 // the row cycles of its activations plus the data bursts of its column
-// accesses. Exported so the sharded simulator charges swaps with the exact
-// arithmetic chargeSwap uses.
-func SwapBlockNs(t dram.Timing, op core.SwapOp) float64 {
+// accesses.
+func swapBlockNs(t dram.Timing, op core.SwapOp) float64 {
 	return float64(op.Acts)*(t.TRCD+t.TRP) + float64(op.CAS)*t.TBurst
 }
 

@@ -45,13 +45,13 @@ type Options struct {
 	// Paranoid attaches a fresh check.Checker to every simulation the Suite
 	// runs; a run with invariant violations fails with them.
 	Paranoid bool
-	// Shards is passed to every run's Config.Shards: 0 auto-shards
-	// shardable runs across the geometry's channels, 1 forces serial (see
-	// Config.Shards).
+	// Shards is ignored: every run executes on the serial event loop.
+	//
+	// Deprecated: channel-sharded runs were removed (DESIGN.md §14); the
+	// field remains so existing callers compile.
 	Shards int
-	// Workers bounds Prefetch's concurrent simulations. 0 derives the
-	// default NumCPU / shards (min 1), so in-run shard parallelism and
-	// across-run parallelism don't multiply into oversubscription.
+	// Workers bounds Prefetch's concurrent simulations; 0 means
+	// runtime.NumCPU().
 	Workers int
 	// OnRunDone, when non-nil, is called after each fresh (non-cached)
 	// simulation completes successfully, with the spec, its result, and the
@@ -217,7 +217,6 @@ func (s *Suite) Run(spec RunSpec) (*Result, error) {
 				InstrPerCore:   s.opts.instrPerCore(),
 				Seed:           s.opts.Seed,
 				LineCensus:     spec.LineCensus,
-				Shards:         s.opts.Shards,
 				Check:          chk,
 			})
 		}
@@ -296,26 +295,12 @@ func (s *Suite) Prefetch(specs []RunSpec) error {
 }
 
 // prefetchWorkers resolves the Prefetch worker count: Options.Workers when
-// set, else NumCPU divided by the per-run shard count (each sharded run
-// already occupies that many goroutines), never below one. Before the
-// divisor existed, Prefetch hardcoded NumCPU, which multiplied with in-run
-// shards into NumCPU × shards runnable goroutines.
+// set, else runtime.NumCPU().
 func (s *Suite) prefetchWorkers() int {
 	if s.opts.Workers > 0 {
 		return s.opts.Workers
 	}
-	sh := s.opts.Shards
-	if sh == 0 {
-		sh = s.opts.Geometry.Channels
-	}
-	if sh < 1 {
-		sh = 1
-	}
-	w := runtime.NumCPU() / sh
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return runtime.NumCPU()
 }
 
 // NormPerf returns the performance of (mapName, mitName, trh) on wl

@@ -11,18 +11,12 @@ import (
 	"rubix/internal/workload"
 )
 
-// TestPrefetchWorkerDerivation pins the oversubscription fix: the Prefetch
-// worker count divides NumCPU by the per-run shard count (auto shards come
-// from the geometry's channels), never drops below one, and an explicit
-// Options.Workers overrides the derivation.
+// TestPrefetchWorkerDerivation pins the Prefetch worker count: NumCPU by
+// default whatever the geometry (a 4-channel sweep gets every CPU), the
+// deprecated Shards field ignored, and an explicit Options.Workers
+// overriding the default.
 func TestPrefetchWorkerDerivation(t *testing.T) {
 	ncpu := runtime.NumCPU()
-	min1 := func(n int) int {
-		if n < 1 {
-			return 1
-		}
-		return n
-	}
 	cases := []struct {
 		name string
 		opts Options
@@ -30,8 +24,8 @@ func TestPrefetchWorkerDerivation(t *testing.T) {
 	}{
 		{"explicit", Options{Workers: 3}, 3},
 		{"serial default", Options{}, ncpu}, // 1-channel default geometry
-		{"auto shards 4ch", Options{Geometry: geom.DDR4_32GB4Ch()}, min1(ncpu / 4)},
-		{"explicit shards", Options{Geometry: geom.DDR4_32GB4Ch(), Shards: 2}, min1(ncpu / 2)},
+		{"4ch default", Options{Geometry: geom.DDR4_32GB4Ch()}, ncpu},
+		{"Shards ignored", Options{Geometry: geom.DDR4_32GB4Ch(), Shards: 2}, ncpu},
 		{"forced serial", Options{Geometry: geom.DDR4_32GB4Ch(), Shards: 1}, ncpu},
 	}
 	for _, tc := range cases {

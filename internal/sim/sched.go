@@ -98,28 +98,3 @@ func runCores(cores []*cpu.Core, access cpu.BatchAccessFunc) {
 		}
 	}
 }
-
-// runCoresAsync is runCores over the sharded issue path: identical heap
-// discipline — StepBatchAsync advances Now through the same comparisons as
-// StepBatch, so the pop order (and therefore the access stream order) is
-// byte-for-byte the serial one — with the burst handed to the routing layer
-// as a future instead of a blocking call. The final drain retires the
-// still-in-flight futures without advancing any core clock, matching the
-// serial loop (whose leftover ring entries are likewise never folded in).
-//
-// hot: the sharded simulation main loop.
-func runCoresAsync(cores []*cpu.Core, access cpu.AsyncBatchAccessFunc) {
-	h := newCoreHeap(cores)
-	for len(h.cores) > 0 {
-		c := h.min()
-		c.StepBatchAsync(access)
-		if c.Done() {
-			h.popMin()
-		} else {
-			h.fixMin()
-		}
-	}
-	for _, c := range cores {
-		c.DrainPending()
-	}
-}

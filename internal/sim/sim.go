@@ -100,13 +100,10 @@ type Config struct {
 	// LatencyHist collects the per-access memory latency distribution
 	// (Result.DRAM.Latency).
 	LatencyHist bool
-	// Shards splits the run across channel-sharded event loops: 0
-	// auto-selects the geometry's channel count when the mitigation's state
-	// partitions by channel (none, blockhammer, trr) and serial otherwise;
-	// 1 forces the serial loop; an explicit power of two is clamped to the
-	// channel count. The sharded path produces byte-identical Result stats
-	// (DESIGN.md §14); runs that cannot shard fall back to serial silently,
-	// reported in Result.Shards.
+	// Shards is ignored: every run executes on the serial event loop.
+	//
+	// Deprecated: channel-sharded runs were removed (DESIGN.md §14); the
+	// field remains so existing callers compile.
 	Shards int
 	// Metrics, when non-nil, records run-level counters, gauges, phase
 	// timings, and (if configured) an event trace across the whole stack.
@@ -137,8 +134,10 @@ type Result struct {
 	// Metrics is the final observability snapshot, nil unless Config.Metrics
 	// was set.
 	Metrics *metrics.Snapshot
-	// Shards reports how many shard event loops executed the run (1 =
-	// serial, including silent fallbacks).
+	// Shards is always 1: every run executes on the serial event loop.
+	//
+	// Deprecated: channel-sharded runs were removed (DESIGN.md §14); the
+	// field remains so the encoded Result keeps its bytes.
 	Shards int
 }
 
@@ -183,14 +182,6 @@ func Run(cfg Config) (*Result, error) {
 	if lat == 0 {
 		lat = defaultMapLatency(cfg.MappingName, cfg.Core.FreqGHz)
 	}
-	shards, err := effectiveShards(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if shards > 1 {
-		return runSharded(cfg, shards, mapper, lat)
-	}
-
 	mod := dram.New(dram.Config{
 		Geometry:    cfg.Geometry,
 		Timing:      cfg.Timing,
@@ -201,6 +192,7 @@ func Run(cfg Config) (*Result, error) {
 		Check:       chk,
 	})
 	var mit mitigation.Mitigator
+	var err error
 	if cfg.MitigationFactory != nil {
 		mit, err = cfg.MitigationFactory(mod)
 	} else {

@@ -46,8 +46,8 @@ func (m *memStore) Put(key string, payload []byte) error {
 // will serve results for the wrong configuration.
 func TestStoreKeyGolden(t *testing.T) {
 	spec := RunSpec{Workload: "mcf", Mapping: "rubixs-gs4", Mitigation: "aqua", TRH: 128, LineCensus: true}
-	opts := Options{Scale: 0.5, Cores: 2, Seed: 7, SeedSet: true, Shards: 1}
-	want := "rubix-result v1\n" +
+	opts := Options{Scale: 0.5, Cores: 2, Seed: 7, SeedSet: true}
+	want := "rubix-result v2\n" +
 		"workload=\"mcf\"\n" +
 		"mapping=\"rubixs-gs4\"\n" +
 		"mitigation=\"aqua\"\n" +
@@ -56,7 +56,6 @@ func TestStoreKeyGolden(t *testing.T) {
 		"seed=7\n" +
 		"scale=0x1p-01\n" +
 		"cores=2\n" +
-		"shards=1\n" +
 		"geometry=1/1/16/131072/8192/64\n"
 	got := storePreimage(spec, opts.withDefaults())
 	if string(got) != want {
@@ -80,7 +79,6 @@ func TestStoreKeyDiscriminates(t *testing.T) {
 		"seed":     {Scale: 0.25, Cores: 2, Seed: 10, SeedSet: true},
 		"scale":    {Scale: 0.26, Cores: 2, Seed: 9, SeedSet: true},
 		"cores":    {Scale: 0.25, Cores: 4, Seed: 9, SeedSet: true},
-		"shards":   {Scale: 0.25, Cores: 2, Seed: 9, SeedSet: true, Shards: 2},
 		"geometry": {Scale: 0.25, Cores: 2, Seed: 9, SeedSet: true, Geometry: geom.DDR4_32GB4Ch()},
 	}
 	for name, o := range variants {
@@ -103,6 +101,16 @@ func TestStoreKeyDiscriminates(t *testing.T) {
 	same.Paranoid = true
 	if StoreKey(spec, same) != baseKey {
 		t.Error("sweep-enumeration/observer options leaked into the store key")
+	}
+
+	// Shards is deprecated and ignored, so Options differing only in it
+	// share one key.
+	for _, sh := range []int{1, 2, 4} {
+		o := base
+		o.Shards = sh
+		if StoreKey(spec, o) != baseKey {
+			t.Errorf("Shards=%d changed the store key", sh)
+		}
 	}
 
 	// The unset seed resolves to the default before hashing, so "default by
@@ -338,7 +346,7 @@ func TestStorePreimageUnambiguous(t *testing.T) {
 		t.Fatal("preimage is ambiguous under newline injection")
 	}
 	pa := storePreimage(a, o.withDefaults())
-	if got := fmt.Sprintf("%s", pa); len(bytes.Split(pa, []byte("\n"))) != 12 {
+	if got := fmt.Sprintf("%s", pa); len(bytes.Split(pa, []byte("\n"))) != 11 {
 		t.Fatalf("quoted fields leaked raw newlines into the preimage:\n%s", got)
 	}
 }

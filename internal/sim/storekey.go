@@ -13,15 +13,15 @@
 //     they share a simulation),
 //   - Scale (hex float formatting — exact, no decimal rounding),
 //   - Cores,
-//   - Geometry (all six shape fields),
-//   - Shards (Result.Shards records the shard count, so two shard settings
-//     produce byte-different Results even though the statistics match).
+//   - Geometry (all six shape fields).
 //
 // Deliberately excluded, with the reason each exclusion is sound:
 //
 //   - Workloads/Mixes: sweep enumeration inputs; the spec names the one
 //     workload that runs.
 //   - Workers: across-run parallelism, invisible to any single Result.
+//   - Shards: deprecated and ignored; every run is serial and reports
+//     Result.Shards 1.
 //   - Paranoid: an attached checker can fail a run but never changes a
 //     successful Result, and only successful Results are stored.
 //   - The callbacks (OnRunDone etc.): observers.
@@ -58,7 +58,7 @@ type ResultStore interface {
 // whenever storePreimage changes shape or a new result-determining field
 // joins the hash, so entries written under the old derivation become misses
 // instead of mismatched hits.
-const storeKeyVersion = 1
+const storeKeyVersion = 2
 
 // storePreimage renders the canonical hash preimage for (spec, opts). opts
 // must already be normalized (withDefaults); StoreKey handles that for
@@ -76,7 +76,6 @@ func storePreimage(spec RunSpec, o Options) []byte {
 	// rendering, unlike shortest-decimal which is library-dependent.
 	fmt.Fprintf(&b, "scale=%s\n", strconv.FormatFloat(o.Scale, 'x', -1, 64))
 	fmt.Fprintf(&b, "cores=%d\n", o.Cores)
-	fmt.Fprintf(&b, "shards=%d\n", o.Shards)
 	fmt.Fprintf(&b, "geometry=%d/%d/%d/%d/%d/%d\n",
 		o.Geometry.Channels, o.Geometry.Ranks, o.Geometry.Banks,
 		o.Geometry.RowsPerBank, o.Geometry.RowBytes, o.Geometry.LineBytes)

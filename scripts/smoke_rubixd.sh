@@ -28,7 +28,7 @@ wait_healthy() {
 }
 
 start_server() { # $1 = log file
-  "$WORK/rubixd" -addr "$ADDR" -store "$WORK/results" -scale 0.004 -shards 1 \
+  "$WORK/rubixd" -addr "$ADDR" -store "$WORK/results" -scale 0.004 \
     2>"$WORK/$1" &
   SERVER_PID=$!
   wait_healthy
