@@ -16,15 +16,17 @@ race:
 # The concurrency hammer mirror of CI's race matrix: the packages where the
 # mutexes live, twice, so interleavings get a second roll of the dice.
 race-concurrency:
-	go test -race -count=2 ./internal/sim/... ./internal/metrics/... ./internal/check/...
+	go test -race -count=2 ./internal/sim/... ./internal/server/... ./internal/metrics/... ./internal/check/...
 
-# The full local gate: vet plus the project invariants suite (determinism,
-# bitwidth, seedflow, panicpolicy, observereffect, addrwidth, errdiscard,
-# lockdiscipline, goroutineescape, goroutineleak, waitgroup, and the
-# domain/unit analyzers addrspace, unitflow, hotalloc — see internal/lint).
+# The full local gate: gofmt, vet, and the project invariants suite
+# (determinism, bitwidth, seedflow, panicpolicy, observereffect, addrwidth,
+# errdiscard, lockdiscipline, goroutineescape, goroutineleak, waitgroup, and
+# the domain/unit analyzers addrspace, unitflow, hotalloc — see
+# internal/lint).
 # rubixlint -fix applies the suite's suggested fixes, including the
 # addrspace `// addr:` annotation autofix.
 lint:
+	test -z "$$(gofmt -l .)"
 	go vet ./...
 	go run ./cmd/rubixlint ./...
 

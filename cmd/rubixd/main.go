@@ -1,22 +1,23 @@
 // Command rubixd serves the experiment harness over HTTP: clients POST
 // RunSpecs (singly to /run, in bulk to /batch) and receive canonical
 // encoded Results. Concurrent duplicate requests coalesce onto one
-// simulation, and with -store every successful result is persisted to a
+// simulation, -parallel bounds the simulations running at once across all
+// requests, and with -store every successful result is persisted to a
 // content-addressed directory, so an identical sweep after a restart is
 // served without simulating anything.
 //
 // Examples:
 //
 //	rubixd -addr localhost:8080 -store /var/lib/rubixd
-//	rubixd -scale 0.1 -batch 16 -batch-wait 100ms
+//	rubixd -scale 0.1 -parallel 2
 //
 //	curl -d '{"Workload":"mcf","Mapping":"rubixs-gs4","Mitigation":"aqua","TRH":128}' localhost:8080/run
 //	curl -d '{"specs":[...]}' localhost:8080/batch
 //	curl localhost:8080/metrics?format=json
 //
 // SIGINT/SIGTERM shut the service down gracefully: the listener stops
-// accepting, in-flight requests and batches run to completion (persisting
-// their results), and only then does the process exit.
+// accepting, in-flight requests run to completion (persisting their
+// results), and only then does the process exit.
 package main
 
 import (
@@ -36,15 +37,13 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", "localhost:8080", "listen address")
-		storeDir  = flag.String("store", "", "persist results to this content-addressed directory (empty = memory only)")
-		scale     = flag.Float64("scale", 1.0, "fraction of the 250M-instruction budget per run")
-		cores     = flag.Int("cores", 4, "cores per simulation")
-		seed      = flag.Uint64("seed", 42, "random seed (part of the store key)")
-		parallel  = flag.Int("parallel", 0, "max concurrent simulations per batch (0 = NumCPU)")
-		batch     = flag.Int("batch", 8, "batch flush threshold")
-		batchWait = flag.Duration("batch-wait", 50*time.Millisecond, "max time a partial batch waits before flushing")
-		quiet     = flag.Bool("quiet", false, "suppress per-run log lines")
+		addr     = flag.String("addr", "localhost:8080", "listen address")
+		storeDir = flag.String("store", "", "persist results to this content-addressed directory (empty = memory only)")
+		scale    = flag.Float64("scale", 1.0, "fraction of the 250M-instruction budget per run")
+		cores    = flag.Int("cores", 4, "cores per simulation")
+		seed     = flag.Uint64("seed", 42, "random seed (part of the store key)")
+		parallel = flag.Int("parallel", 0, "max concurrent simulations across all requests (0 = NumCPU)")
+		quiet    = flag.Bool("quiet", false, "suppress per-run log lines")
 	)
 	flag.Parse()
 
@@ -54,10 +53,8 @@ func main() {
 			Cores:   *cores,
 			Seed:    *seed,
 			SeedSet: true,
+			Workers: *parallel,
 		},
-		BatchSize:   *batch,
-		BatchWait:   *batchWait,
-		Parallelism: *parallel,
 	}
 	if !*quiet {
 		cfg.Sim.OnRunDone = func(spec sim.RunSpec, _ *sim.Result, wallNs int64) {
@@ -106,9 +103,9 @@ func main() {
 	defer stop()
 	select {
 	case <-ctx.Done():
-		// Graceful shutdown: stop accepting, let in-flight requests finish
-		// (they hold batcher response channels), then drain the batcher so
-		// every accepted run completes and persists.
+		// Graceful shutdown: stop accepting, let in-flight requests finish,
+		// then drain the server so every accepted run completes and
+		// persists.
 		fmt.Fprintln(os.Stderr, "rubixd: shutting down")
 		if err := server.Shutdown(httpSrv, 30*time.Second); err != nil {
 			fmt.Fprintln(os.Stderr, "rubixd: shutdown:", err)

@@ -253,7 +253,7 @@ func TestFlatCensusWalkDeterministic(t *testing.T) {
 		c := newFlatCensus(false)
 		r := rng.NewXoshiro256(5)
 		for i := 0; i < 4*censusInitSlots; i++ {
-			c.slots[c.get(r.Uint64n(1 << 30))].acts++
+			c.slots[c.get(r.Uint64n(1<<30))].acts++
 		}
 		var rows []uint64
 		for idx := range c.slots {

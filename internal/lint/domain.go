@@ -43,13 +43,13 @@ import (
 type domain uint16
 
 const (
-	domLine domain = 1 << iota // logical (pre-map) line address
-	domPhys                    // physical (randomized) line index
-	domRow                     // DRAM global-row coordinate
-	domCipher                  // K-Cipher ciphertext
-	domNs                      // wall-clock nanoseconds (float64 sim time)
-	domCycle                   // DRAM/CPU clock cycles
-	domRefresh                 // refresh-window counts (epochs)
+	domLine    domain = 1 << iota // logical (pre-map) line address
+	domPhys                       // physical (randomized) line index
+	domRow                        // DRAM global-row coordinate
+	domCipher                     // K-Cipher ciphertext
+	domNs                         // wall-clock nanoseconds (float64 sim time)
+	domCycle                      // DRAM/CPU clock cycles
+	domRefresh                    // refresh-window counts (epochs)
 )
 
 // addrFamily and unitFamily partition the tracked domains.

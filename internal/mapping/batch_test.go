@@ -131,7 +131,7 @@ func TestMapBatchEmptyAndSingle(t *testing.T) {
 // implementations that predate the batch API.
 type mapOnly struct{}
 
-func (mapOnly) Name() string          { return "map-only" }
+func (mapOnly) Name() string           { return "map-only" }
 func (mapOnly) Map(line uint64) uint64 { return line ^ 0x5a5a }
 
 // TestBatchedAdapter: Batched must hand back native implementations

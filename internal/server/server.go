@@ -1,9 +1,10 @@
 // Package server is the rubixd sweep service: an HTTP/JSON front end over
-// the sim.Suite experiment harness. Requests name RunSpecs; the server
-// batches them (see Batcher), runs each unique spec at most once per
-// process via the Suite's per-spec sync.Once, consults and feeds the
+// the sim.Suite experiment harness. Requests name RunSpecs; each handler
+// calls Suite.Run per spec, which runs each unique spec at most once per
+// process (its per-spec sync.Once), bounds concurrent simulations
+// process-wide (sim.Options.Workers), and consults and feeds the
 // persistent content-addressed result store so identical sweeps across
-// restarts are served without simulating, and publishes its counters on
+// restarts are served without simulating. Counters are published on
 // /metrics through the same metrics.Publisher the simulator uses.
 //
 // Endpoints:
@@ -19,10 +20,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
-	"time"
 
 	"rubix/internal/metrics"
 	"rubix/internal/sim"
@@ -33,14 +32,16 @@ import (
 // smoke job asserts on rubixd_sims_fresh == 0 after a warm restart, which
 // only works if the counter exists without any fresh simulation bumping it.
 const (
-	cRequests    = "rubixd_requests_total" // specs received across /run and /batch
-	cBatches     = "rubixd_batches_total"  // batches dispatched to the executor
+	cRequests    = "rubixd_requests_total" // specs accepted across /run and /batch
 	cSimsFresh   = "rubixd_sims_fresh"     // simulations actually executed
 	cSimErrors   = "rubixd_sim_errors"     // simulations that failed
 	cStoreHits   = "rubixd_store_hits"     // specs served from the persistent store
 	cStoreErrors = "rubixd_store_errors"   // store-tier failures the Suite swallowed
-	cHTTPErrors  = "rubixd_http_errors"    // requests rejected before reaching the batcher
+	cHTTPErrors  = "rubixd_http_errors"    // requests rejected before reaching the Suite
 )
+
+// msgClosed answers requests that arrive after Close has begun.
+const msgClosed = "server: shutting down"
 
 // maxRequestBody bounds request bodies: a batch of a few thousand specs is
 // well under this, and it keeps a misbehaving client from buffering
@@ -49,55 +50,42 @@ const maxRequestBody = 4 << 20
 
 // Config configures a Server.
 type Config struct {
-	// Sim seeds the Suite options. The server chains its own counter hooks
-	// after any hooks already present, and installs Store below.
+	// Sim seeds the Suite options; its Workers bounds the service's
+	// concurrent simulations. The server chains its own counter hooks after
+	// any hooks already present, and installs Store below.
 	Sim sim.Options
 	// Store is the persistent result tier (usually *store.Store). Nil runs
 	// the service memory-only.
 	Store sim.ResultStore
-	// BatchSize is the flush threshold (default 8).
-	BatchSize int
-	// BatchWait bounds how long a partial batch waits (default 50ms).
-	BatchWait time.Duration
-	// Parallelism bounds concurrent simulations per batch (default
-	// NumCPU, floor 1).
-	Parallelism int
 }
 
 // Server is the rubixd HTTP service. Create with New; it implements
 // http.Handler.
 type Server struct {
-	suite    *sim.Suite
-	batcher  *Batcher
-	parallel int
-	mux      *http.ServeMux
-	pub      *metrics.Publisher
+	suite *sim.Suite
+	mux   *http.ServeMux
+	pub   *metrics.Publisher
 
 	recMu sync.Mutex
 	rec   *metrics.Recorder // guarded by recMu
+
+	// The drain gate: each accepted request holds one count on inflight
+	// until its runs have finished and persisted; Close sets closed and
+	// waits for the counts to drain.
+	gateMu   sync.Mutex
+	closed   bool // guarded by gateMu
+	inflight sync.WaitGroup
 }
 
 // New builds a Server. The returned server is live: requests may be served
-// immediately, and Close must be called to drain it.
+// immediately, and Close must be called to drain it. No Config is rejected
+// today; the error result keeps room for one that is.
 func New(cfg Config) (*Server, error) {
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = 8
-	}
-	if cfg.BatchWait == 0 {
-		cfg.BatchWait = 50 * time.Millisecond
-	}
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = runtime.NumCPU()
-	}
-	if cfg.Parallelism < 1 {
-		cfg.Parallelism = 1
-	}
 	s := &Server{
-		parallel: cfg.Parallelism,
-		pub:      &metrics.Publisher{},
-		rec:      metrics.New(metrics.Config{}),
+		pub: &metrics.Publisher{},
+		rec: metrics.New(metrics.Config{}),
 	}
-	for _, name := range []string{cRequests, cBatches, cSimsFresh, cSimErrors, cStoreHits, cStoreErrors, cHTTPErrors} {
+	for _, name := range []string{cRequests, cSimsFresh, cSimErrors, cStoreHits, cStoreErrors, cHTTPErrors} {
 		s.rec.Counter(name) // pre-register so scrapes see zeros
 	}
 	s.pub.Publish(s.rec.Snapshot())
@@ -134,12 +122,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.suite = sim.NewSuite(opts)
 
-	b, err := NewBatcher(cfg.BatchSize, cfg.BatchWait, s.execute)
-	if err != nil {
-		return nil, err
-	}
-	s.batcher = b
-
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/run", s.handleRun)
 	s.mux.HandleFunc("/batch", s.handleBatch)
@@ -153,11 +135,28 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Close drains the batcher: every accepted request completes (and its
-// result is persisted) before Close returns. Call after the HTTP listener
-// has stopped accepting new requests.
+// Close drains the server: requests arriving from now on get 503, and
+// Close returns once every accepted request's runs have finished and
+// persisted. Call after the HTTP listener has stopped accepting new
+// requests. Safe to call more than once.
 func (s *Server) Close() {
-	s.batcher.Close()
+	s.gateMu.Lock()
+	s.closed = true
+	s.gateMu.Unlock()
+	s.inflight.Wait()
+}
+
+// admit registers one request with the drain gate, or reports false once
+// Close has begun. An admitted request must call s.inflight.Done when its
+// runs are over.
+func (s *Server) admit() bool {
+	s.gateMu.Lock()
+	defer s.gateMu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.inflight.Add(1)
+	return true
 }
 
 // bump adds one to the named counter and republishes the snapshot, so
@@ -172,40 +171,18 @@ func (s *Server) bump(name string) {
 	s.pub.Publish(snap)
 }
 
-// execute runs one deduplicated batch: each spec through Suite.Run, at most
-// s.parallel concurrently. Deliberately NOT Suite.Prefetch-then-Run: the
-// Suite evicts failed entries so a later Run retries, which means a
-// Prefetch failure followed by a per-spec Run to fetch the error would
-// re-simulate every failure. Running directly observes each spec's outcome
-// exactly once.
-func (s *Server) execute(specs []sim.RunSpec) map[sim.RunSpec]RunOutcome {
-	s.bump(cBatches)
-	outcomes := make(map[sim.RunSpec]RunOutcome, len(specs))
-	var mu sync.Mutex
-	sem := make(chan struct{}, s.parallel)
-	var wg sync.WaitGroup
-	for _, spec := range specs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(spec sim.RunSpec) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			res, err := s.suite.Run(spec)
-			out := RunOutcome{Err: err}
-			if err == nil {
-				out.Data, out.Err = sim.EncodeResult(res)
-			}
-			mu.Lock()
-			outcomes[spec] = out
-			mu.Unlock()
-		}(spec)
+// run serves one spec through the Suite as its canonical encoded Result:
+// the bytes the store persists, whichever tier answered.
+func (s *Server) run(spec sim.RunSpec) ([]byte, error) {
+	res, err := s.suite.Run(spec)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	return outcomes
+	return sim.EncodeResult(res)
 }
 
 // validateSpec rejects specs that cannot name a simulation before they
-// reach the batcher, so typos fail with a 400 instead of a 500 plus a
+// reach the Suite, so typos fail with a 400 instead of a 500 plus a
 // wasted workload resolution.
 func validateSpec(spec sim.RunSpec) error {
 	if spec.Workload == "" || spec.Mapping == "" || spec.Mitigation == "" {
@@ -264,18 +241,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	if !s.admit() {
+		s.fail(w, msgClosed, http.StatusServiceUnavailable)
+		return
+	}
+	defer s.inflight.Done()
 	s.bump(cRequests)
-	ch, err := s.batcher.Submit(spec)
+	data, err := s.run(spec)
 	if err != nil {
-		s.fail(w, err.Error(), http.StatusServiceUnavailable)
+		s.fail(w, "run "+spec.String()+": "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	out := <-ch
-	if out.Err != nil {
-		s.fail(w, "run "+spec.String()+": "+out.Err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, out.Data)
+	writeJSON(w, data)
 }
 
 // BatchRequest is the POST /batch body.
@@ -297,12 +274,12 @@ type BatchResponse struct {
 	Results []BatchItem `json:"results"`
 }
 
-// handleBatch serves POST /batch. All specs are submitted before any
-// outcome is awaited, so one HTTP request genuinely forms (at least) one
-// batch instead of trickling specs through sequentially. Duplicate specs
-// in one request are legal and each position gets the shared outcome. The
-// response is 200 even when individual specs failed — per-spec errors are
-// in the items — so a partially failed sweep still delivers its results.
+// handleBatch serves POST /batch. Each distinct spec runs on its own
+// goroutine, so the specs simulate concurrently up to the Suite's Workers
+// bound. Duplicate specs in one request are legal: each runs once and
+// every position gets the shared outcome. The response is 200 even when
+// individual specs failed — per-spec errors are in the items — so a
+// partially failed sweep still delivers its results.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.requirePost(w, r) {
 		return
@@ -322,26 +299,39 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	chans := make([]<-chan RunOutcome, len(req.Specs))
+	if !s.admit() {
+		s.fail(w, msgClosed, http.StatusServiceUnavailable)
+		return
+	}
+	defer s.inflight.Done()
+	resp := BatchResponse{Results: make([]BatchItem, len(req.Specs))}
+	first := make(map[sim.RunSpec]int, len(req.Specs)) // spec → its first index
+	var wg sync.WaitGroup
 	for i, spec := range req.Specs {
 		s.bump(cRequests)
-		ch, err := s.batcher.Submit(spec)
-		if err != nil {
-			s.fail(w, err.Error(), http.StatusServiceUnavailable)
-			return
+		if _, dup := first[spec]; dup {
+			continue
 		}
-		chans[i] = ch
+		first[spec] = i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			item := BatchItem{Spec: spec}
+			if data, err := s.run(spec); err != nil {
+				item.Error = err.Error()
+			} else {
+				item.Result = data
+			}
+			// Each goroutine owns the index of its spec's first position,
+			// so the slot has a single writer and wg.Wait orders it before
+			// the reads below.
+			//lint:allow goroutineescape distinct-index writes, one writer per slot, sequenced by wg.Wait
+			resp.Results[i] = item
+		}()
 	}
-	resp := BatchResponse{Results: make([]BatchItem, len(req.Specs))}
-	for i, ch := range chans {
-		out := <-ch
-		item := BatchItem{Spec: req.Specs[i]}
-		if out.Err != nil {
-			item.Error = out.Err.Error()
-		} else {
-			item.Result = json.RawMessage(out.Data)
-		}
-		resp.Results[i] = item
+	wg.Wait()
+	for i, spec := range req.Specs {
+		resp.Results[i] = resp.Results[first[spec]]
 	}
 	body, err := json.Marshal(&resp)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -29,14 +30,9 @@ func testRunSpec() sim.RunSpec {
 
 // newTestServer builds a Server plus an httptest listener. st may be nil
 // for a memory-only service.
-func newTestServer(t *testing.T, st sim.ResultStore, batchSize int, batchWait time.Duration) (*Server, *httptest.Server) {
+func newTestServer(t *testing.T, st sim.ResultStore) (*Server, *httptest.Server) {
 	t.Helper()
-	srv, err := New(Config{
-		Sim:       testSimOptions(),
-		Store:     st,
-		BatchSize: batchSize,
-		BatchWait: batchWait,
-	})
+	srv, err := New(Config{Sim: testSimOptions(), Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +111,7 @@ func TestServerEndToEndDeterminism(t *testing.T) {
 	}
 
 	// Server A: fresh simulation, then a memory-cache hit.
-	srvA, tsA := newTestServer(t, st, 1, 10*time.Millisecond)
+	srvA, tsA := newTestServer(t, st)
 	code, fresh := postJSON(t, tsA.URL+"/run", testRunSpec())
 	if code != http.StatusOK {
 		t.Fatalf("fresh run status = %d: %s", code, fresh)
@@ -134,7 +130,7 @@ func TestServerEndToEndDeterminism(t *testing.T) {
 	srvA.Close()
 
 	// Server B: a different process in spirit — fresh Suite, same store dir.
-	_, tsB := newTestServer(t, st, 1, 10*time.Millisecond)
+	_, tsB := newTestServer(t, st)
 	code, restored := postJSON(t, tsB.URL+"/run", testRunSpec())
 	if code != http.StatusOK {
 		t.Fatalf("restored run status = %d: %s", code, restored)
@@ -163,7 +159,7 @@ func TestServerEndToEndDeterminism(t *testing.T) {
 // cost exactly one simulation.
 func TestServerCoalescesConcurrentDuplicates(t *testing.T) {
 	const clients = 6
-	_, ts := newTestServer(t, nil, 3, 10*time.Millisecond)
+	_, ts := newTestServer(t, nil)
 	bodies := make([][]byte, clients)
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
@@ -197,7 +193,7 @@ func TestServerCoalescesConcurrentDuplicates(t *testing.T) {
 // TestServerBatchEndpoint: one POST /batch with duplicates and a failing
 // spec returns index-aligned per-spec outcomes in a single 200 response.
 func TestServerBatchEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, nil, 4, 10*time.Millisecond)
+	_, ts := newTestServer(t, nil)
 	good := testRunSpec()
 	bad := sim.RunSpec{Workload: "no-such-workload", Mapping: "coffeelake", Mitigation: "none", TRH: 128}
 	code, body := postJSON(t, ts.URL+"/batch", BatchRequest{Specs: []sim.RunSpec{good, bad, good}})
@@ -233,9 +229,9 @@ func TestServerBatchEndpoint(t *testing.T) {
 }
 
 // TestServerRejectsBadRequests: malformed input fails fast with a 4xx and
-// never reaches the batcher.
+// never reaches the Suite.
 func TestServerRejectsBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, nil, 4, 10*time.Millisecond)
+	_, ts := newTestServer(t, nil)
 	cases := []struct {
 		name string
 		path string
@@ -279,14 +275,14 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		t.Fatal("rejected requests were not counted")
 	}
 	if cnt[cSimsFresh] != 0 || cnt[cRequests] != 0 {
-		t.Fatalf("bad requests leaked into the batcher: %v", cnt)
+		t.Fatalf("bad requests leaked into the Suite: %v", cnt)
 	}
 }
 
 // TestServerHealthz: the liveness probe answers GET and HEAD and nothing
 // else.
 func TestServerHealthz(t *testing.T) {
-	_, ts := newTestServer(t, nil, 4, 10*time.Millisecond)
+	_, ts := newTestServer(t, nil)
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -387,5 +383,301 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	}
 	if err := <-errc; err != http.ErrServerClosed {
 		t.Fatalf("serve loop exit: %v", err)
+	}
+}
+
+// heldStore is an in-memory sim.ResultStore whose Get of each held key
+// blocks until release is closed, so a test can hold specs' runs in flight
+// at a known point. It records the keys Put to it.
+type heldStore struct {
+	held    map[string]bool
+	entered chan string   // receives each held key as its Get begins
+	release chan struct{} // closed by unblock to let Gets of held keys return
+	once    sync.Once
+
+	mu   sync.Mutex
+	data map[string][]byte // guarded by mu
+}
+
+func newHeldStore(held ...sim.RunSpec) *heldStore {
+	h := &heldStore{
+		held:    make(map[string]bool, len(held)),
+		entered: make(chan string, len(held)),
+		release: make(chan struct{}),
+		data:    map[string][]byte{},
+	}
+	for _, spec := range held {
+		h.held[sim.StoreKey(spec, testSimOptions())] = true
+	}
+	return h
+}
+
+func (h *heldStore) Get(key string) ([]byte, bool) {
+	if h.held[key] {
+		h.entered <- key
+		<-h.release
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	d, ok := h.data[key]
+	return d, ok
+}
+
+// unblock lets held Gets return. It is idempotent, so a test defers it to
+// free held handlers on a failing path too; otherwise the test server's
+// cleanup would wait on them forever.
+func (h *heldStore) unblock() {
+	h.once.Do(func() { close(h.release) })
+}
+
+func (h *heldStore) Put(key string, payload []byte) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.data[key] = payload
+	return nil
+}
+
+func (h *heldStore) has(spec sim.RunSpec) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	_, ok := h.data[sim.StoreKey(spec, testSimOptions())]
+	return ok
+}
+
+// reply is one response as postAsync delivers it; code is -1 when the
+// request itself failed.
+type reply struct {
+	code int
+	body []byte
+}
+
+// postAsync posts v as JSON on its own goroutine; the response arrives on
+// the returned channel.
+func postAsync(url string, v any) <-chan reply {
+	done := make(chan reply, 1)
+	go func() {
+		body, err := json.Marshal(v)
+		if err != nil {
+			done <- reply{code: -1}
+			return
+		}
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			done <- reply{code: -1}
+			return
+		}
+		data, err := io.ReadAll(resp.Body)
+		if cerr := resp.Body.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			done <- reply{code: -1}
+			return
+		}
+		done <- reply{resp.StatusCode, data}
+	}()
+	return done
+}
+
+// TestServerHitNotHeldBySlowSpec: while one spec's run is held inside the
+// store tier, a memory-hit /run of another spec still answers at once; no
+// request waits on an unrelated one.
+func TestServerHitNotHeldBySlowSpec(t *testing.T) {
+	slow := testRunSpec()
+	fast := sim.RunSpec{Workload: "xz", Mapping: "rubixs-gs4", Mitigation: "none", TRH: 128}
+	st := newHeldStore(slow)
+	_, ts := newTestServer(t, st)
+	code, want := postJSON(t, ts.URL+"/run", fast)
+	if code != http.StatusOK {
+		t.Fatalf("warm-up run status = %d: %s", code, want)
+	}
+
+	slowDone := postAsync(ts.URL+"/run", slow)
+	defer func() {
+		st.unblock()
+		if r := <-slowDone; r.code != http.StatusOK {
+			t.Errorf("held run status = %d after release", r.code)
+		}
+	}()
+	for counters(t, ts.URL)[cRequests] < 2 {
+		runtime.Gosched() // wait until the slow request is accepted
+	}
+
+	hit := postAsync(ts.URL+"/run", fast)
+	select {
+	case r := <-hit:
+		if r.code != http.StatusOK || !bytes.Equal(r.body, want) {
+			t.Fatalf("memory hit: status %d, or bytes differ from the warm-up", r.code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("memory-hit /run waited on an unrelated held run")
+	}
+	<-st.entered
+}
+
+// startClose runs srv.Close on its own goroutine and returns once Close has
+// shut the drain gate; the returned channel closes when Close returns.
+func startClose(srv *Server) <-chan struct{} {
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	for {
+		srv.gateMu.Lock()
+		c := srv.closed
+		srv.gateMu.Unlock()
+		if c {
+			return closed
+		}
+		runtime.Gosched()
+	}
+}
+
+// checkCloseDrains holds one spec's run inside the store tier through the
+// endpoint at path, with body building that endpoint's request for a spec,
+// and checks the drain contract: Close waits for the accepted run to finish
+// and persist, a request after Close begins is refused with 503, and the
+// accepted request still answers 200.
+func checkCloseDrains(t *testing.T, path string, body func(sim.RunSpec) any) {
+	t.Helper()
+	held := testRunSpec()
+	st := newHeldStore(held)
+	defer st.unblock()
+	srv, ts := newTestServer(t, st)
+
+	heldDone := postAsync(ts.URL+path, body(held))
+	<-st.entered // accepted, and held inside the Suite
+
+	closed := startClose(srv)
+	late := sim.RunSpec{Workload: "xz", Mapping: "rubixs-gs4", Mitigation: "none", TRH: 128}
+	if code, resp := postJSON(t, ts.URL+path, body(late)); code != http.StatusServiceUnavailable {
+		t.Fatalf("%s after Close: status = %d, want 503 (body: %s)", path, code, resp)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an accepted run was still in flight")
+	default:
+	}
+
+	st.unblock()
+	<-closed
+	if !st.has(held) {
+		t.Fatal("Close returned before the accepted run reached the store")
+	}
+	if r := <-heldDone; r.code != http.StatusOK {
+		t.Fatalf("accepted %s status = %d, want 200", path, r.code)
+	}
+	srv.Close() // a second Close is a no-op
+}
+
+// TestServerCloseDrains: a /run accepted before Close finishes, and its
+// result reaches the store, before Close returns; a /run after Close is
+// refused with 503.
+func TestServerCloseDrains(t *testing.T) {
+	checkCloseDrains(t, "/run", func(spec sim.RunSpec) any { return spec })
+}
+
+// TestBatcherCloseDrains: the same drain contract for the batch path — a
+// /batch accepted before Close finishes and persists before Close returns,
+// and a /batch after Close is refused with 503. (The name is kept from the
+// request batcher that /batch replaced.)
+func TestBatcherCloseDrains(t *testing.T) {
+	checkCloseDrains(t, "/batch", func(spec sim.RunSpec) any {
+		return BatchRequest{Specs: []sim.RunSpec{spec}}
+	})
+}
+
+// TestBatcherQueuedFlushOnClose: every spec of a /batch accepted before
+// Close, not only the first, is run and persisted before Close returns.
+// All the batch's specs are parked in the store tier when Close begins, so
+// none has simulated yet; Close must wait them all out, not drop them.
+func TestBatcherQueuedFlushOnClose(t *testing.T) {
+	specs := []sim.RunSpec{
+		{Workload: "xz", Mapping: "coffeelake", Mitigation: "none", TRH: 128},
+		{Workload: "xz", Mapping: "rubixs-gs1", Mitigation: "none", TRH: 128},
+		{Workload: "xz", Mapping: "rubixs-gs4", Mitigation: "none", TRH: 128},
+	}
+	st := newHeldStore(specs...)
+	defer st.unblock()
+	srv, ts := newTestServer(t, st)
+
+	batchDone := postAsync(ts.URL+"/batch", BatchRequest{Specs: specs})
+	for range specs {
+		<-st.entered
+	}
+	closed := startClose(srv)
+	select {
+	case <-closed:
+		t.Fatal("Close returned while the batch's specs were still queued")
+	default:
+	}
+
+	st.unblock()
+	<-closed
+	for _, spec := range specs {
+		if !st.has(spec) {
+			t.Fatalf("Close returned before %s reached the store", spec)
+		}
+	}
+	r := <-batchDone
+	if r.code != http.StatusOK {
+		t.Fatalf("accepted /batch status = %d, want 200 (body: %s)", r.code, r.body)
+	}
+	var resp BatchResponse
+	if err := json.Unmarshal(r.body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != len(specs) {
+		t.Fatalf("got %d results, want %d", len(resp.Results), len(specs))
+	}
+	for i, item := range resp.Results {
+		if item.Error != "" || len(item.Result) == 0 {
+			t.Fatalf("spec %d not flushed: %+v", i, item)
+		}
+	}
+}
+
+// TestBatcherDedupe: duplicate specs interleaved in one /batch each reach
+// the Suite once, and every position gets its own spec's shared outcome.
+func TestBatcherDedupe(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	a := testRunSpec()
+	b := sim.RunSpec{Workload: "xz", Mapping: "rubixs-gs4", Mitigation: "none", TRH: 128}
+	specs := []sim.RunSpec{a, b, a, b, a}
+	code, body := postJSON(t, ts.URL+"/batch", BatchRequest{Specs: specs})
+	if code != http.StatusOK {
+		t.Fatalf("batch status = %d: %s", code, body)
+	}
+	var resp BatchResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != len(specs) {
+		t.Fatalf("got %d results, want %d", len(resp.Results), len(specs))
+	}
+	payload := map[sim.RunSpec][]byte{}
+	for i, item := range resp.Results {
+		if item.Spec != specs[i] {
+			t.Fatalf("result %d is for %s, want %s", i, item.Spec, specs[i])
+		}
+		if item.Error != "" || len(item.Result) == 0 {
+			t.Fatalf("spec %d failed: %+v", i, item)
+		}
+		if first, ok := payload[item.Spec]; !ok {
+			payload[item.Spec] = item.Result
+		} else if !bytes.Equal(first, item.Result) {
+			t.Fatalf("duplicate of %s at %d returned a different payload", item.Spec, i)
+		}
+	}
+	if bytes.Equal(payload[a], payload[b]) {
+		t.Fatal("distinct specs returned the same payload")
+	}
+	c := counters(t, ts.URL)
+	if c[cSimsFresh] != 2 {
+		t.Fatalf("sims_fresh = %d, want 2 for 2 distinct specs", c[cSimsFresh])
+	}
+	if c[cRequests] != uint64(len(specs)) {
+		t.Fatalf("requests_total = %d, want %d", c[cRequests], len(specs))
 	}
 }

@@ -50,14 +50,16 @@ type Options struct {
 	// Deprecated: channel-sharded runs were removed (DESIGN.md §14); the
 	// field remains so existing callers compile.
 	Shards int
-	// Workers bounds Prefetch's concurrent simulations; 0 means
-	// runtime.NumCPU().
+	// Workers bounds the Suite's concurrent simulations, across every
+	// caller of Run and Prefetch; 0 means runtime.NumCPU(). Cache and store
+	// hits never wait for a slot.
 	Workers int
 	// OnRunDone, when non-nil, is called after each fresh (non-cached)
 	// simulation completes successfully, with the spec, its result, and the
-	// wall time it took in nanoseconds. Called from whichever goroutine ran
-	// the simulation; the callback must be safe for concurrent use under
-	// Prefetch. Used by CLIs for progress reporting.
+	// wall time of the simulation in nanoseconds (from taking a Workers
+	// slot to finishing, so neither the queue nor the store is in it).
+	// Called from whichever goroutine ran the simulation; the callback must
+	// be safe for concurrent use. Used by CLIs for progress reporting.
 	OnRunDone func(spec RunSpec, res *Result, wallNs int64)
 	// OnRunErr, when non-nil, is called after each fresh simulation attempt
 	// that fails, with the spec, the error, and the wall time spent before
@@ -107,6 +109,9 @@ func (o Options) withDefaults() Options {
 	if o.Geometry == (geom.Geometry{}) {
 		o.Geometry = geom.DDR4_16GB()
 	}
+	if o.Workers <= 0 {
+		o.Workers = runtime.NumCPU()
+	}
 	return o
 }
 
@@ -148,6 +153,10 @@ type Suite struct {
 	// failed-run retry path.
 	resolve func(spec string, cores int, g geom.Geometry, seed uint64) ([]workload.Profile, error)
 
+	// sims holds one token per running simulation; its capacity is the
+	// Options.Workers bound.
+	sims chan struct{}
+
 	mu    sync.Mutex
 	cache map[RunSpec]*runEntry // guarded by mu
 }
@@ -160,7 +169,13 @@ type runEntry struct {
 
 // NewSuite builds an experiment suite.
 func NewSuite(opts Options) *Suite {
-	return &Suite{opts: opts.withDefaults(), resolve: ResolveWorkload, cache: make(map[RunSpec]*runEntry)}
+	opts = opts.withDefaults()
+	return &Suite{
+		opts:    opts,
+		resolve: ResolveWorkload,
+		sims:    make(chan struct{}, opts.Workers),
+		cache:   make(map[RunSpec]*runEntry),
+	}
 }
 
 // Run executes (or returns the cached result of) one configuration. Only
@@ -169,7 +184,8 @@ func NewSuite(opts Options) *Suite {
 // forever. With Options.Store set, a persistent tier sits under the
 // in-memory cache: a store hit skips the simulation entirely, and every
 // fresh success is persisted so identical runs are never recomputed across
-// process restarts.
+// process restarts. At most Options.Workers simulations run at once; a
+// spec that misses both tiers waits for a slot.
 func (s *Suite) Run(spec RunSpec) (*Result, error) {
 	s.mu.Lock()
 	e, ok := s.cache[spec]
@@ -179,7 +195,6 @@ func (s *Suite) Run(spec RunSpec) (*Result, error) {
 	}
 	s.mu.Unlock()
 	e.once.Do(func() {
-		start := metrics.WallNow()
 		var key string
 		if s.opts.Store != nil {
 			key = s.storeKey(spec)
@@ -200,29 +215,11 @@ func (s *Suite) Run(spec RunSpec) (*Result, error) {
 				}
 			}
 		}
-		profiles, err := s.resolve(spec.Workload, s.opts.Cores, s.opts.Geometry, s.opts.Seed)
-		if err != nil {
-			e.err = err
-		} else {
-			var chk *check.Checker
-			if s.opts.Paranoid {
-				chk = check.New(check.Config{})
-			}
-			e.res, e.err = Run(Config{
-				Geometry:       s.opts.Geometry,
-				TRH:            spec.TRH,
-				MappingName:    spec.Mapping,
-				MitigationName: spec.Mitigation,
-				Workloads:      profiles,
-				InstrPerCore:   s.opts.instrPerCore(),
-				Seed:           s.opts.Seed,
-				LineCensus:     spec.LineCensus,
-				Check:          chk,
-			})
-		}
+		var wallNs int64
+		e.res, wallNs, e.err = s.simulate(spec)
 		if e.err != nil {
 			if s.opts.OnRunErr != nil {
-				s.opts.OnRunErr(spec, e.err, metrics.WallNow()-start)
+				s.opts.OnRunErr(spec, e.err, wallNs)
 			}
 			return
 		}
@@ -242,7 +239,7 @@ func (s *Suite) Run(spec RunSpec) (*Result, error) {
 			}
 		}
 		if s.opts.OnRunDone != nil {
-			s.opts.OnRunDone(spec, e.res, metrics.WallNow()-start)
+			s.opts.OnRunDone(spec, e.res, wallNs)
 		}
 	})
 	if e.err != nil {
@@ -257,50 +254,57 @@ func (s *Suite) Run(spec RunSpec) (*Result, error) {
 	return e.res, e.err
 }
 
+// simulate runs spec in one of the Options.Workers slots and reports the
+// wall time spent in the slot. The slot is released before the caller
+// persists the result, so a slow store write holds no simulation back.
+func (s *Suite) simulate(spec RunSpec) (*Result, int64, error) {
+	s.sims <- struct{}{}
+	defer func() { <-s.sims }()
+	start := metrics.WallNow()
+	profiles, err := s.resolve(spec.Workload, s.opts.Cores, s.opts.Geometry, s.opts.Seed)
+	if err != nil {
+		return nil, metrics.WallNow() - start, err
+	}
+	var chk *check.Checker
+	if s.opts.Paranoid {
+		chk = check.New(check.Config{})
+	}
+	res, err := Run(Config{
+		Geometry:       s.opts.Geometry,
+		TRH:            spec.TRH,
+		MappingName:    spec.Mapping,
+		MitigationName: spec.Mitigation,
+		Workloads:      profiles,
+		InstrPerCore:   s.opts.instrPerCore(),
+		Seed:           s.opts.Seed,
+		LineCensus:     spec.LineCensus,
+		Check:          chk,
+	})
+	return res, metrics.WallNow() - start, err
+}
+
 // Prefetch executes the given configurations in parallel, filling the
-// cache so subsequent Run calls return instantly. Duplicate specs cost
-// nothing: the per-spec sync.Once guarantees each unique configuration is
-// simulated exactly once even when Prefetch races with Run. Every failure
-// is reported — the returned error joins one error per failed spec, in
-// spec order.
+// cache so subsequent Run calls return instantly. Each spec gets its own
+// goroutine; Run's Workers bound decides how many of them simulate at
+// once. Duplicate specs cost nothing: the per-spec sync.Once guarantees
+// each unique configuration is simulated exactly once even when Prefetch
+// races with Run. Every failure is reported — the returned error joins one
+// error per failed spec, in spec order.
 func (s *Suite) Prefetch(specs []RunSpec) error {
-	workers := s.prefetchWorkers()
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	idx := make(chan int)
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i, spec := range specs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				// Each index is delivered to exactly one worker, so errs[i]
-				// has a single writer and wg.Wait orders it before the read.
-				//lint:allow goroutineescape distinct-index writes, one writer per slot, sequenced by wg.Wait
-				_, errs[i] = s.Run(specs[i])
-			}
+			// Each goroutine owns index i, so errs[i] has a single writer
+			// and wg.Wait orders it before the read.
+			//lint:allow goroutineescape distinct-index writes, one writer per slot, sequenced by wg.Wait
+			_, errs[i] = s.Run(spec)
 		}()
 	}
-	for i := range specs {
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// prefetchWorkers resolves the Prefetch worker count: Options.Workers when
-// set, else runtime.NumCPU().
-func (s *Suite) prefetchWorkers() int {
-	if s.opts.Workers > 0 {
-		return s.opts.Workers
-	}
-	return runtime.NumCPU()
 }
 
 // NormPerf returns the performance of (mapName, mitName, trh) on wl

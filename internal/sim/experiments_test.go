@@ -6,13 +6,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rubix/internal/geom"
 	"rubix/internal/workload"
 )
 
-// TestPrefetchWorkerDerivation pins the Prefetch worker count: NumCPU by
-// default whatever the geometry (a 4-channel sweep gets every CPU), the
+// TestPrefetchWorkerDerivation pins the Suite's simulation bound: NumCPU
+// by default whatever the geometry (a 4-channel sweep gets every CPU), the
 // deprecated Shards field ignored, and an explicit Options.Workers
 // overriding the default.
 func TestPrefetchWorkerDerivation(t *testing.T) {
@@ -30,42 +31,72 @@ func TestPrefetchWorkerDerivation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := NewSuite(tc.opts).prefetchWorkers(); got != tc.want {
-				t.Fatalf("prefetchWorkers = %d, want %d", got, tc.want)
+			if got := cap(NewSuite(tc.opts).sims); got != tc.want {
+				t.Fatalf("simulation bound = %d, want %d", got, tc.want)
 			}
 		})
 	}
 }
 
-// TestPrefetchHonorsWorkers proves the configured bound is the bound that
-// actually limits Prefetch's fan-out, by counting concurrent resolver
-// entries through a swapped-in blocking resolver.
-func TestPrefetchHonorsWorkers(t *testing.T) {
-	s := NewSuite(Options{Scale: 0.004, Workloads: []string{"mcf"}, Mixes: []int{}, Seed: 5, Workers: 1})
-	var inFlight, maxInFlight atomic.Int64
+// countResolves swaps a counting resolver into s and returns the peak
+// number of concurrent resolver entries it observed. Each entry lingers a
+// little, so runs that were not bounded would overlap inside it.
+func countResolves(s *Suite) *atomic.Int64 {
+	var inFlight, peak atomic.Int64
 	var mu sync.Mutex
 	inner := s.resolve
 	s.resolve = func(spec string, cores int, g geom.Geometry, seed uint64) ([]workload.Profile, error) {
 		n := inFlight.Add(1)
 		defer inFlight.Add(-1)
 		mu.Lock()
-		if n > maxInFlight.Load() {
-			maxInFlight.Store(n)
+		if n > peak.Load() {
+			peak.Store(n)
 		}
 		mu.Unlock()
+		time.Sleep(20 * time.Millisecond)
 		return inner(spec, cores, g, seed)
 	}
+	return &peak
+}
+
+// TestPrefetchHonorsWorkers proves the configured bound is the bound that
+// actually limits simulations, for Prefetch's fan-out and for concurrent
+// callers of Run alike, by counting concurrent resolver entries.
+func TestPrefetchHonorsWorkers(t *testing.T) {
+	opts := Options{Scale: 0.004, Workloads: []string{"mcf"}, Mixes: []int{}, Seed: 5, Workers: 1}
 	specs := []RunSpec{
 		{"mcf", "coffeelake", "none", 1000, false},
 		{"mcf", "sequential", "none", 1000, false},
 		{"mcf", "rubixs-gs1", "none", 1000, false},
 	}
-	if err := s.Prefetch(specs); err != nil {
-		t.Fatal(err)
-	}
-	if got := maxInFlight.Load(); got != 1 {
-		t.Fatalf("observed %d concurrent runs with Workers=1", got)
-	}
+	t.Run("Prefetch", func(t *testing.T) {
+		s := NewSuite(opts)
+		peak := countResolves(s)
+		if err := s.Prefetch(specs); err != nil {
+			t.Fatal(err)
+		}
+		if got := peak.Load(); got != 1 {
+			t.Fatalf("observed %d concurrent runs with Workers=1", got)
+		}
+	})
+	t.Run("concurrent Run", func(t *testing.T) {
+		s := NewSuite(opts)
+		peak := countResolves(s)
+		var wg sync.WaitGroup
+		for _, spec := range specs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := s.Run(spec); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if got := peak.Load(); got != 1 {
+			t.Fatalf("observed %d concurrent runs with Workers=1", got)
+		}
+	})
 }
 
 // tinySuite runs experiments at a very small scale over two workloads so the
